@@ -68,22 +68,7 @@ func TestChurnPoissonCampaign(t *testing.T) {
 // TestChurnTraceMode drives an explicit schedule and checks exact counts:
 // trace mode is the reproducible-experiment interface.
 func TestChurnTraceMode(t *testing.T) {
-	cfg := ChurnConfig{
-		Mode:   "trace",
-		Seed:   3,
-		P0:     32,
-		Cores:  4,
-		Quanta: 10,
-		Schedule: []ChurnEvent{
-			{Quantum: 1, Arrive: true},
-			{Quantum: 2, Arrive: true},
-			{Quantum: 3, Arrive: false},
-			{Quantum: 5, Arrive: false},
-			{Quantum: 5, Arrive: false},
-			{Quantum: 9, Arrive: true},
-		},
-		RefreshFrac: 0.25,
-	}
+	cfg := churnTraceConfig()
 	rep := RunChurn(cfg)
 	if rep.Arrivals != 3 || rep.Departures != 3 {
 		t.Fatalf("trace counts: %+v", rep)
@@ -140,5 +125,76 @@ func TestChurnObserverDoesNotChangeReport(t *testing.T) {
 	}
 	if events == 0 {
 		t.Fatal("observer never fired")
+	}
+}
+
+// churnTraceConfig is the explicit-schedule campaign TestChurnTraceMode and
+// the golden checksums share.
+func churnTraceConfig() ChurnConfig {
+	return ChurnConfig{
+		Mode:   "trace",
+		Seed:   3,
+		P0:     32,
+		Cores:  4,
+		Quanta: 10,
+		Schedule: []ChurnEvent{
+			{Quantum: 1, Arrive: true},
+			{Quantum: 2, Arrive: true},
+			{Quantum: 3, Arrive: false},
+			{Quantum: 5, Arrive: false},
+			{Quantum: 5, Arrive: false},
+			{Quantum: 9, Arrive: true},
+		},
+		RefreshFrac: 0.25,
+	}
+}
+
+// churnBenchConfig is the repo benchmark's churn-p1024 campaign shape.
+func churnBenchConfig(seed int64) ChurnConfig {
+	return ChurnConfig{
+		Mode:        "poisson",
+		Seed:        seed,
+		P0:          1024,
+		Cores:       64,
+		Quanta:      2000,
+		ArrivalRate: 2,
+		MeanLife:    512,
+		RefreshFrac: 0.5 / 1024,
+		FragLimit:   0.6,
+		MissLimit:   256,
+	}
+}
+
+// TestChurnGoldenChecksums pins every campaign shape to the report checksum
+// it produced before partner scoring moved to the columnar table: a change
+// to the arrival or probe path that alters any placement, migration count,
+// miss count or final assignment shows up here as a different checksum.
+func TestChurnGoldenChecksums(t *testing.T) {
+	rebuild := testChurnConfig()
+	rebuild.MissLimit = 1
+	rebuild.Quanta = 80
+	cases := []struct {
+		name string
+		cfg  ChurnConfig
+		want string
+		long bool
+	}{
+		{"poisson", testChurnConfig(), "0f6db3d20360ad52", false},
+		{"trace", churnTraceConfig(), "47317d2f3aab84e4", false},
+		{"rebuild", rebuild, "e8bdefd2f46ad998", false},
+		{"p1024/seed0", churnBenchConfig(0), "4b41cb2564a164cd", true},
+		{"p1024/seed1", churnBenchConfig(1), "d0c6c5ee4ad71dc5", true},
+		{"p1024/seed2", churnBenchConfig(2), "1ccf489fa9fcf7f4", true},
+		{"p1024/seed3", churnBenchConfig(3), "b3390c25464db996", true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.long && testing.Short() {
+				t.Skip("P0=1024 campaign skipped in -short mode")
+			}
+			if got := RunChurn(tc.cfg).Checksum; got != tc.want {
+				t.Fatalf("checksum %s, want %s", got, tc.want)
+			}
+		})
 	}
 }
