@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci lint vet build test race shardcheck tracecheck sigcheck servicecheck churncheck benchsmoke allocbench sigbench tracebench servicebench churnbench benchgate bench clean
+.PHONY: ci lint vet build test race shardcheck tracecheck sigcheck servicecheck churncheck fmacheck benchsmoke allocbench sigbench tracebench servicebench churnbench benchgate bench clean
 
-ci: lint build race shardcheck tracecheck sigcheck servicecheck churncheck benchsmoke allocbench sigbench tracebench servicebench churnbench
+ci: lint build race shardcheck tracecheck sigcheck servicecheck churncheck fmacheck benchsmoke allocbench sigbench tracebench servicebench churnbench
 
 # Style gate: gofmt must be clean, vet must pass, and staticcheck runs when
 # the host has it (CI and dev boxes without it still get the first two).
@@ -95,6 +95,21 @@ churncheck:
 	$(GO) test -count=1 -run 'TestSmoothShrinkThenGrow|TestForget|TestAger' ./internal/monitor
 	$(GO) test -count=1 -run 'TestSnapshotterShrinksAfterBurst|TestSnapshotterSteadyStateAllocs' ./internal/kernel
 	$(GO) test -count=1 -run 'TestChurn' ./internal/experiments
+
+# Architecture-neutral floats, offline: cross-compile the packages that
+# compute scheduling decisions for arm64 and fail on any fused multiply-add
+# in their assembly. Go may fuse x*y + z into one instruction that skips the
+# product's rounding, so an unguarded site can steer placements differently
+# on arm64 than on amd64 (which never fuses). An explicit float64(x*y)
+# forbids the fusion; this gate keeps every such site guarded.
+FMAPKGS = monitor alloc graph experiments
+
+fmacheck:
+	@fail=0; for p in $(FMAPKGS); do \
+		out=$$(CGO_ENABLED=0 GOARCH=arm64 $(GO) build -gcflags="symbiosched/internal/$$p=-S" ./internal/$$p 2>&1) || { echo "$$out"; exit 1; }; \
+		hits=$$(echo "$$out" | grep -E '\bFN?M(ADD|SUB)[A-Z]*\b'); \
+		if [ -n "$$hits" ]; then echo "fused multiply-add in internal/$$p:"; echo "$$hits"; fail=1; fi; \
+	done; if [ $$fail = 0 ]; then echo "fmacheck: no fused multiply-add in $(FMAPKGS)"; fi; exit $$fail
 
 # One iteration of every benchmark: catches bit-rot in the bench suite (and
 # regenerates each figure once) without committing to real measurement time.

@@ -134,7 +134,8 @@ func twoPhaseSparse(views []kernel.View, cores int) Mapping {
 		vi := &views[i]
 		for c, cnt := range onCore {
 			if cnt > 0 {
-				total += float64(cnt) * directedTerm(vi, c, true)
+				// Rounded product: no fused multiply-add on any GOARCH.
+				total += float64(float64(cnt) * directedTerm(vi, c, true))
 			}
 		}
 		// The c == LastCore bucket counted vi pairing with itself.

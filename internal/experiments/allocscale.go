@@ -68,7 +68,8 @@ func AllocScale(cfg Config) metrics.Table {
 				cols, wts := s.Row(v)
 				if len(cols) > 0 {
 					e := ti % len(cols)
-					pt.UpdateWeight(s, v, int(cols[e]), wts[e]*1.5+0.1)
+					// Rounded product: no fused multiply-add on any GOARCH.
+					pt.UpdateWeight(s, v, int(cols[e]), float64(wts[e]*1.5)+0.1)
 				}
 			}
 			part.Repair(s, pt, touched)

@@ -3,7 +3,8 @@
 // every structural change meant rebuilding the top-m interference graph and
 // re-partitioning from scratch, O(P²) per event. This driver exercises the
 // incremental alternative end to end: an arriving thread is scored against
-// the live population with alloc.PairWeight, spliced into the graph with
+// the live population in one pass over an alloc.OverlapTable (PairWeight in
+// columnar form) and keeps its top-m partners, is spliced into the graph with
 // graph.InsertAndRepair, and registered with the monitor's lazy Ager; a
 // departing thread leaves through graph.RemoveAndRepair; stale signature
 // contributions decay through Ager.Refresh; and the accumulated drift
@@ -109,12 +110,14 @@ func (c *ChurnConfig) defaults() ChurnConfig {
 
 // churnCampaign owns the live state of one run: the kernel-view table
 // indexed by graph node id (slots are reused exactly as the graph reuses
-// tombstoned ids), the mutable sparse graph, its partition, and the
-// monitor-side staleness clocks.
+// tombstoned ids) and its columnar overlap twin that partner selection
+// scans, the mutable sparse graph, its partition, and the monitor-side
+// staleness clocks.
 type churnCampaign struct {
 	cfg   ChurnConfig
 	rng   *rand.Rand
 	views []kernel.View
+	tab   alloc.OverlapTable // views[v]'s directed terms in slot v; dead slots cleared
 	g     *graph.Sparse
 	pt    *graph.Partition
 	ag    *monitor.Ager
@@ -194,14 +197,17 @@ func (cc *churnCampaign) newView(id int) kernel.View {
 
 // rebuild is the fallback path: a fresh top-m build over the current
 // population (dead slots carry signatureless views and so produce no
-// edges), a fresh multilevel partition, fresh staleness clocks.
+// edges), a fresh multilevel partition, fresh staleness clocks, and the
+// overlap table refilled from the views.
 func (cc *churnCampaign) rebuild() {
 	g := alloc.SparseInterferenceGraph(cc.views)
+	cc.tab.Reset(len(cc.views))
 	for i := range cc.views {
-		if cc.born == nil || i >= len(cc.born) || cc.born[i] >= 0 {
-			continue
+		if cc.born[i] >= 0 {
+			cc.tab.Set(i, &cc.views[i])
+		} else {
+			g.RemoveNode(i)
 		}
-		g.RemoveNode(i)
 	}
 	cc.g = g
 	cc.pt = g.NewPartition(cc.cfg.Cores)
@@ -242,14 +248,16 @@ func (cc *churnCampaign) quantum(q int) {
 }
 
 // arrive scores the newcomer against every live thread, keeps the TopM
-// heaviest partners, and splices it into graph, partition, and clocks —
-// the O(P + degree·Δ) incremental path that replaces a full rebuild.
+// heaviest partners, and splices it into graph, partition, table and
+// clocks — the O(P + degree·Δ) incremental path that replaces a full
+// rebuild.
 func (cc *churnCampaign) arrive(q int) {
 	start := cc.tick()
 	view := cc.newView(-1)
 	cc.seq++
 	nbrs, wts := cc.topPartners(&view)
 	v, migrations := graph.InsertAndRepair(cc.g, cc.pt, nbrs, wts)
+	cc.tab.Set(v, &view)
 	view.ThreadID, view.ProcID = v, v
 	for v >= len(cc.views) {
 		cc.views = append(cc.views, kernel.View{})
@@ -269,6 +277,7 @@ func (cc *churnCampaign) depart(q, v int) {
 	start := cc.tick()
 	migrations := graph.RemoveAndRepair(cc.g, cc.pt, v)
 	cc.views[v] = kernel.View{ThreadID: v}
+	cc.tab.Clear(v)
 	cc.born[v] = -1
 	cc.rep.Departures++
 	cc.rep.Migrations += migrations
@@ -290,36 +299,11 @@ func (cc *churnCampaign) oldest() int {
 
 // topPartners selects the TopM heaviest interference partners of view among
 // the live population — the arrival-time equivalent of the builder's top-m
-// sparsification, O(P) score + O(P log P) worst-case selection.
+// sparsification, one pass over the overlap table with a bounded top-m
+// buffer. The result aliases the campaign's scratch buffers.
 func (cc *churnCampaign) topPartners(view *kernel.View) ([]int32, []float64) {
-	nbrs, wts := cc.scratch.nbrs[:0], cc.scratch.wts[:0]
-	for u := range cc.views {
-		if cc.born[u] < 0 {
-			continue
-		}
-		if w := alloc.PairWeight(view, &cc.views[u]); w > 0 {
-			nbrs = append(nbrs, int32(u))
-			wts = append(wts, w)
-		}
-	}
-	// Partial selection: repeatedly move the heaviest remaining partner to
-	// the front. TopM is small, so O(TopM·P) beats sorting the whole list.
-	m := cc.cfg.TopM
-	if m > len(nbrs) {
-		m = len(nbrs)
-	}
-	for i := 0; i < m; i++ {
-		best := i
-		for j := i + 1; j < len(nbrs); j++ {
-			if wts[j] > wts[best] || (wts[j] == wts[best] && nbrs[j] < nbrs[best]) {
-				best = j
-			}
-		}
-		nbrs[i], nbrs[best] = nbrs[best], nbrs[i]
-		wts[i], wts[best] = wts[best], wts[i]
-	}
-	cc.scratch.nbrs, cc.scratch.wts = nbrs, wts
-	return nbrs[:m], wts[:m]
+	cc.scratch.nbrs, cc.scratch.wts = cc.tab.TopPartners(view, cc.cfg.TopM, cc.scratch.nbrs, cc.scratch.wts)
+	return cc.scratch.nbrs, cc.scratch.wts
 }
 
 // refresh re-profiles a RefreshFrac slice of the live population through the
@@ -359,9 +343,9 @@ func (cc *churnCampaign) probe(q int) {
 	if cc.g.Alive() == 0 {
 		return
 	}
-	v := cc.oldest()
-	if alt := q % len(cc.born); cc.born[alt] >= 0 {
-		v = alt
+	v := q % len(cc.born)
+	if cc.born[v] < 0 {
+		v = cc.oldest()
 	}
 	nbrs, wts := cc.topPartners(&cc.views[v])
 	for i, u := range nbrs {

@@ -73,7 +73,8 @@ func (ag *Ager) Refresh(g *graph.Sparse, pt *graph.Partition, v int, fresh func(
 			last = ag.lastSeen[u]
 		}
 		aged := ag.decayPow(ag.quantum-last) * wts[t]
-		w := (1-ag.Alpha)*aged + ag.Alpha*fresh(int(u))
+		// Rounded products: no fused multiply-add on any GOARCH.
+		w := float64((1-ag.Alpha)*aged) + float64(ag.Alpha*fresh(int(u)))
 		if pt.UpdateWeight(g, v, int(u), w) {
 			updated++
 		}

@@ -143,12 +143,15 @@ func (mo *Monitor) smooth(views []kernel.View) []kernel.View {
 			}
 			mo.smoothed[v.ThreadID] = st
 		} else {
-			st.occupancy = a*st.occupancy + (1-a)*float64(v.Occupancy)
+			// Each float64(...) rounds its product, so no architecture can
+			// fuse it into a multiply-add: the smoothed views, and every
+			// placement computed from them, match on amd64 and arm64.
+			st.occupancy = float64(a*st.occupancy) + float64((1-a)*float64(v.Occupancy))
 			for j, s := range v.Symbiosis {
-				st.symbiosis[j] = a*st.symbiosis[j] + (1-a)*float64(s)
+				st.symbiosis[j] = float64(a*st.symbiosis[j]) + float64((1-a)*float64(s))
 			}
 			for j, o := range v.Overlap {
-				st.overlap[j] = a*st.overlap[j] + (1-a)*float64(o)
+				st.overlap[j] = float64(a*st.overlap[j]) + float64((1-a)*float64(o))
 			}
 		}
 		v.Occupancy = int(st.occupancy + 0.5)
