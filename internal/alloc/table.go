@@ -31,9 +31,6 @@ type OverlapTable struct {
 	last []int32
 }
 
-// Len returns the number of slots, live or dead.
-func (t *OverlapTable) Len() int { return len(t.last) }
-
 // Reset empties the table to n dead slots, reusing its storage when it is
 // large enough. Filling a table through Reset and then Set allocates each
 // column once, where growing it one Set at a time would reallocate it as
@@ -57,10 +54,11 @@ func (t *OverlapTable) Set(id int, v *kernel.View) {
 		t.cols = append(t.cols, make([]int32, len(t.last), cap(t.last)))
 	}
 	for c, col := range t.cols {
-		col[id] = 0
+		var x int32
 		if c < len(terms) {
-			col[id] = terms[c]
+			x = terms[c]
 		}
+		col[id] = x
 	}
 	t.last[id] = -1
 	if v.LastCore >= 0 && v.LastCore <= math.MaxInt32 {
