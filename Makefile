@@ -87,11 +87,15 @@ servicecheck:
 # and exact cut bookkeeping over the live population, the monitor's
 # per-thread state shrinks and regrows with the thread population (reused
 # IDs inherit nothing), the Snapshotter releases a burst's backing after the
-# population stays small, lazy aging matches eager decay, and a seeded
-# arrival/departure campaign — both Poisson and trace modes, including the
-# drift-triggered rebuild fallback — replays byte-identically.
+# population stays small, lazy aging matches eager decay, the columnar
+# overlap table picks exactly the partners and builds exactly the graph the
+# pair-by-pair PairWeight paths do (fuzz seed corpora included) and refuses
+# negative overlap terms, and a seeded arrival/departure campaign — both
+# Poisson and trace modes, including the drift-triggered rebuild fallback,
+# whose rebuilt rows must ignore departed slots — replays byte-identically.
 churncheck:
-	$(GO) test -count=1 -run 'TestInsertNode|TestRemoveNode|TestDriftCountersAndCompact|TestInsertAndRepair|TestRemoveAndRepairRestoresEnvelope|TestChurnInterleaved|FuzzPartition' ./internal/graph
+	$(GO) test -count=1 -run 'TestInsertNode|TestRemoveNode|TestDriftCountersAndCompact|TestInsertAndRepair|TestRemoveAndRepairRestoresEnvelope|TestChurnInterleaved|TestBuilderOffer|FuzzPartition' ./internal/graph
+	$(GO) test -count=1 -run 'TestTopPartners|FuzzTopPartners|TestTableGraph|FuzzTableGraph|TestOverlapTableRejectsNegativeOverlap' ./internal/alloc
 	$(GO) test -count=1 -run 'TestSmoothShrinkThenGrow|TestForget|TestAger' ./internal/monitor
 	$(GO) test -count=1 -run 'TestSnapshotterShrinksAfterBurst|TestSnapshotterSteadyStateAllocs' ./internal/kernel
 	$(GO) test -count=1 -run 'TestChurn' ./internal/experiments

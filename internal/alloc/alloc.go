@@ -270,7 +270,7 @@ func (WeightedInterferenceGraph) Name() string { return "weighted-interference-g
 // path; see InterferenceGraph.Allocate.
 func (WeightedInterferenceGraph) Allocate(views []kernel.View, cores int) Mapping {
 	if len(views) > sparseThreshold {
-		return partitionOrKeepSparse(buildSparseGraph(views, true, nil), views, cores)
+		return partitionOrKeepSparse(SparseInterferenceGraph(views), views, cores)
 	}
 	return partitionOrKeep(buildGraph(views, true), views, cores)
 }

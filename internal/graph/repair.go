@@ -319,14 +319,14 @@ func (p *Partitioner) finishRepair(g *Sparse, pt *Partition) int {
 				}
 				p.conn[d] += wts[t]
 			}
-			slices.Sort(p.connTouch)
 			// Best single move: max gain, ties to the smallest group id.
+			// connTouch is in first-seen order, so the tie-break is explicit.
 			best, bestGain := int32(-1), 1e-12
 			for _, d := range p.connTouch {
 				if d == c {
 					continue
 				}
-				if gain := p.conn[d] - p.conn[c]; gain > bestGain {
+				if gain := p.conn[d] - p.conn[c]; gain > bestGain || (gain == bestGain && best >= 0 && d < best) {
 					best, bestGain = d, gain
 				}
 			}

@@ -149,6 +149,58 @@ func TestBuilderOrderInvariant(t *testing.T) {
 	}
 }
 
+// TestBuilderOffer: offering every edge one-sidedly in both directions
+// builds exactly what Add builds, and the returned floor is 0 while the row
+// has room and its lightest kept weight once full — so skipping an offer at
+// or below the floor (ids ascending per row) changes nothing.
+func TestBuilderOffer(t *testing.T) {
+	const n, m = 30, 3
+	rng := rand.New(rand.NewSource(4))
+	add, offer, skip := NewBuilder(n, m), NewBuilder(n, m), NewBuilder(n, m)
+	floor := make([]float64, n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if rng.Intn(3) != 0 {
+				continue
+			}
+			w := float64(rng.Intn(5) + 1) // ties likely
+			add.Add(i, j, w)
+			offer.Offer(i, j, w)
+			offer.Offer(j, i, w)
+			for _, e := range [][2]int{{i, j}, {j, i}} {
+				a, b := e[0], e[1]
+				if w <= floor[a] {
+					continue
+				}
+				held := len(skip.rows[a])
+				floor[a] = skip.Offer(a, b, w)
+				want := 0.0
+				if held+1 >= m {
+					want = skip.rows[a][0].w
+				}
+				if floor[a] != want {
+					t.Fatalf("Offer(%d, %d) floor %v, want %v", a, b, floor[a], want)
+				}
+			}
+		}
+	}
+	want := add.Build()
+	for _, got := range []*Sparse{offer.Build(), skip.Build()} {
+		for i := 0; i < n; i++ {
+			gc, gw := got.Row(i)
+			wc, ww := want.Row(i)
+			if len(gc) != len(wc) {
+				t.Fatalf("node %d: %d neighbors, Add built %d", i, len(gc), len(wc))
+			}
+			for k := range wc {
+				if gc[k] != wc[k] || gw[k] != ww[k] {
+					t.Fatalf("node %d edge %d: (%d, %v), Add built (%d, %v)", i, k, gc[k], gw[k], wc[k], ww[k])
+				}
+			}
+		}
+	}
+}
+
 func TestBuilderReset(t *testing.T) {
 	b := NewBuilder(4, 0)
 	b.Add(0, 1, 5)
@@ -190,6 +242,7 @@ func TestSparseOutOfRangePanics(t *testing.T) {
 		func() { s.Weight(0, 4) },
 		func() { s.Row(-1) },
 		func() { b.Add(0, 4, 1) },
+		func() { b.Offer(-1, 0, 1) },
 		func() { NewBuilder(-1, 0) },
 	} {
 		func() {
