@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci lint vet build test race shardcheck tracecheck sigcheck servicecheck churncheck fmacheck benchsmoke allocbench sigbench tracebench servicebench churnbench benchgate bench clean
+.PHONY: ci lint vet build test race shardcheck tracecheck sigcheck servicecheck churncheck fmacheck benchsmoke layerbench benchgate bench clean
 
-ci: lint build race shardcheck tracecheck sigcheck servicecheck churncheck fmacheck benchsmoke allocbench sigbench tracebench servicebench churnbench
+ci: lint build race shardcheck tracecheck sigcheck servicecheck churncheck fmacheck benchsmoke layerbench
 
 # Style gate: gofmt must be clean, vet must pass, and staticcheck runs when
 # the host has it (CI and dev boxes without it still get the first two).
@@ -120,59 +120,36 @@ fmacheck:
 benchsmoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
-# Allocator-scaling smoke: one quick pass of the dense/sparse/repair latency
-# sweep (P up to 4096) so the allocator benchmark harness can't bit-rot.
-# Dense is capped at P=64 here; `make benchgate` and the recorded artifacts
-# carry the real measurements.
-allocbench:
-	$(GO) run ./cmd/bench -alloconly -allocreps 3 -allocdense 64
+# Layer smoke: one pass of every cmd/bench layer except the sweeps, at the
+# sizes the gate uses. Each layer self-checks as it measures, so this is
+# also a correctness gate: the signature layer aborts unless eager and lazy
+# capture agree and every sample repeats, the trace layer unless all four
+# replay paths (v1 compile, compiled read, mmap, framed streaming) replay
+# one identical stream, and the coordinator layer unless client accepts,
+# server counters and journal records reconcile. The allocator and churn
+# decision checksums are compared by benchgate.
+layerbench:
+	$(GO) run ./cmd/bench -layers alloc,sig,trace,coord,churn -reps 3
 
-# Signature-path smoke: one quick pass of the per-switch capture and
-# monitor-quantum sweep — each point self-checks eager-vs-lazy parity, so
-# this doubles as an end-to-end capture-equivalence gate at full geometry.
-sigbench:
-	$(GO) run ./cmd/bench -sigonly -sigreps 3
+# The recorded baseline: `make bench` appends an entry, `make benchgate`
+# compares against the newest entry recorded on the same host.
+BENCHFILE = results/BENCH_2026-10-18.json
 
-# Trace I/O smoke: one quick pass of the open-latency/replay-throughput
-# sweep on a small fixture — each run self-checks that all four replay paths
-# (v1 compile, compiled read, mmap, framed streaming) produce one identical
-# instruction stream, so this doubles as a replay-parity gate on a trace
-# none of the unit tests generated. Real measurements use -tracemb ≥ 128.
-tracebench:
-	$(GO) run ./cmd/bench -traceonly -tracereps 3 -tracemb 8
-
-# Coordinator service smoke: the 50-worker load harness as a bench, printing
-# lease throughput and round-trip latency percentiles. Every run reconciles
-# client accepts, server counters, and journal records before reporting, so
-# this doubles as a correctness gate; the latency numbers themselves are
-# recorded but never -check-gated (loopback HTTP + fsync jitter on shared
-# runners would make any useful tolerance flake).
-servicebench:
-	$(GO) run ./cmd/bench -coordonly
-
-# Churn smoke: one short Poisson campaign per P with per-event timing — the
-# insert-vs-rebuild ratio and the crossover rate print on stderr, and the
-# campaign checksum is deterministic, so this doubles as an end-to-end churn
-# gate at real scale (P=1024 single-event updates without a full rebuild).
-churnbench:
-	$(GO) run ./cmd/bench -churnonly -churnquanta 100
-
-# Perf regression gate: measure the Fig 10 sweep plus the allocator,
-# signature, and trace I/O latency sweeps and fail if any is >15% slower
-# than the newest recorded baseline entry (or if any determinism checksum
-# diverges). Wall time on shared runners is noisy — CI runs this as a soft
-# (continue-on-error) job; treat a local failure on a quiet box as real.
-# Dense allocator points beyond P=256 are skipped here (minutes per
-# invocation); unmatched baseline points are simply not compared. The trace
-# fixture size must match the baseline entry's (points pair by format and
-# record count).
+# Perf regression gate: measure the Fig 10 sweep and the allocator,
+# signature, trace I/O and churn layers, and fail if any determinism
+# checksum diverges, any gated statistic is >15% slower than the baseline,
+# any measured case has no baseline counterpart, or no baseline entry comes
+# from this host (CPU model, nproc, GOMAXPROCS, GOARCH, Go version) — then
+# record one with `make bench`. Wall time on shared runners is noisy, so CI
+# runs this as a soft (continue-on-error) job; treat a local failure on a
+# quiet box as real.
 benchgate:
-	$(GO) run ./cmd/bench -reps 3 -alloc -allocreps 11 -allocdense 256 -sig -sigreps 5 -trace -tracereps 5 -tracemb 128 -churn -churnquanta 200 -check results/BENCH_2026-08-06.json -tolerance 0.15
+	$(GO) run ./cmd/bench -layers sweep,alloc,sig,trace,churn -reps 3 -check $(BENCHFILE) -tolerance 0.15
 
-# Real measurement: the recorded Figure 10 sweep harness. Appends to
-# results/BENCH_<date>.json; see README "Performance".
+# Real measurement: every layer, appended to $(BENCHFILE) under the current
+# commit's label; see README "Performance".
 bench:
-	$(GO) run ./cmd/bench -label $$(git rev-parse --short HEAD)
+	$(GO) run ./cmd/bench -layers sweep,sweep-mp1,alloc,sig,trace,coord,churn -reps 3 -label $$(git rev-parse --short HEAD) -out $(BENCHFILE)
 
 clean:
 	$(GO) clean ./...

@@ -2,9 +2,6 @@ package main
 
 import (
 	"fmt"
-	"hash/fnv"
-	"os"
-	"sort"
 	"time"
 
 	"symbiosched/internal/alloc"
@@ -13,115 +10,85 @@ import (
 	"symbiosched/internal/kernel"
 )
 
-// The allocator microbenchmark: how long one allocation decision takes as
-// the thread count grows. Three paths per P:
+// The allocator layer: how long one allocation decision takes as the thread
+// count grows. Three paths per P:
 //
 //   - dense:  the pre-sparsification baseline (n×n matrix + recursive
-//     bisection), forced via AllocateDense. Scales ~n⁴; capped by
-//     -allocdense because P=1024 costs minutes per invocation.
+//     bisection), forced via AllocateDense. Scales ~n⁴, so it is measured
+//     only up to allocDenseMax.
 //   - sparse: the top-m sparse build + multilevel partition the policies use
 //     beyond the 64-thread threshold.
 //   - repair: the incremental path — 8 signature deltas applied with
 //     UpdateWeight, then RepairPartition. The steady-state per-quantum cost
 //     once a partition exists.
 //
-// Latency is reported as p50/p99 over the invocations; the checksum (an FNV
-// hash of the canonical decision) is a determinism gate — two builds whose
-// checksums differ did not compute the same allocation and must not be
-// time-compared.
+// Every sample replays the identical decision, so the checksum (an FNV hash
+// of the canonical decision) is invariant to -reps.
 
 // allocPs is the P-sweep; k = P/16 cores keeps the per-core load constant.
 var allocPs = []int{64, 256, 1024, 4096}
 
-// AllocPoint is one (path, P) cell of the allocator benchmark.
-type AllocPoint struct {
-	Path        string  `json:"path"` // dense | sparse | repair
-	P           int     `json:"p"`
-	K           int     `json:"k"`
-	Invocations int     `json:"invocations"`
-	P50Micros   float64 `json:"p50_micros"`
-	P99Micros   float64 `json:"p99_micros"`
-	// Checksum hashes the canonical allocation decision (or the repaired
-	// assignment); a determinism gate like the sweep's improvement
-	// percentages.
-	Checksum string `json:"checksum"`
-	// CutWeight is the partition quality on the sparse paths (informational;
-	// covered by Checksum for gating).
-	CutWeight float64 `json:"cut_weight,omitempty"`
-}
+// allocDenseMax is the largest P at which the dense baseline is measured:
+// P=1024 costs minutes per invocation.
+const allocDenseMax = 256
 
-// runAllocBench measures every (path, P) point and streams progress to
-// stderr. denseMax caps the dense baseline's P (0 disables it entirely).
-func runAllocBench(reps, denseMax int) []AllocPoint {
-	var points []AllocPoint
+func runAllocBench(reps int) []Point {
+	var points []Point
 	for _, p := range allocPs {
 		k := p / 16
 		views := experiments.SynthAllocViews(p, k)
-
-		if p <= denseMax {
-			n := reps
-			if p >= 512 {
-				n = 1 // minutes per invocation: measure once, flag it
-			}
-			points = append(points, measureAlloc("dense", p, k, n, func() (alloc.Mapping, float64) {
+		if p <= allocDenseMax {
+			points = append(points, measureAlloc("dense", p, k, reps, func() (alloc.Mapping, float64) {
 				return alloc.WeightedInterferenceGraph{}.AllocateDense(views, k), 0
 			}))
 		}
-
 		points = append(points, measureAlloc("sparse", p, k, reps, func() (alloc.Mapping, float64) {
 			s := alloc.SparseInterferenceGraph(views)
-			groups := s.PartitionK(k)
-			m := make(alloc.Mapping, p)
-			var assign []int32
-			for core, grp := range groups {
-				for _, t := range grp {
-					m[t] = core
-				}
-			}
-			assign = make([]int32, p)
+			m := groupsMapping(s.PartitionK(k), p)
+			assign := make([]int32, p)
 			for i, c := range m {
 				assign[i] = int32(c)
 			}
 			return m, s.CutK(assign)
 		}))
-
 		points = append(points, measureRepair(p, k, reps, views))
 	}
 	return points
 }
 
+// groupsMapping turns a k-way partition of p threads into a mapping.
+func groupsMapping(groups [][]int, p int) alloc.Mapping {
+	m := make(alloc.Mapping, p)
+	for core, grp := range groups {
+		for _, t := range grp {
+			m[t] = core
+		}
+	}
+	return m
+}
+
 // measureAlloc times fn over n invocations and hashes its decision.
-func measureAlloc(path string, p, k, n int, fn func() (alloc.Mapping, float64)) AllocPoint {
+func measureAlloc(path string, p, k, n int, fn func() (alloc.Mapping, float64)) Point {
 	times := make([]float64, 0, n)
 	var m alloc.Mapping
 	var cut float64
 	for i := 0; i < n; i++ {
 		start := time.Now()
 		m, cut = fn()
-		times = append(times, float64(time.Since(start).Nanoseconds())/1e3)
+		times = append(times, ms(time.Since(start)))
 	}
-	pt := AllocPoint{
-		Path: path, P: p, K: k, Invocations: n,
-		Checksum: mappingChecksum(m.Canonical()), CutWeight: cut,
-	}
-	pt.P50Micros, pt.P99Micros = percentiles(times)
-	fmt.Fprintf(os.Stderr, "alloc %-6s P=%-4d k=%-3d: p50 %.0fµs p99 %.0fµs (%d invocations)\n",
-		path, p, k, pt.P50Micros, pt.P99Micros, n)
-	return pt
+	return allocPoint(path, p, k, times, mappingChecksum(m.Canonical()), cut)
 }
 
 // measureRepair times the incremental path: per invocation, a fresh graph
-// and partition, then 8 weight deltas + RepairPartition. Every invocation
-// replays the IDENTICAL delta schedule — the timings are repeated samples
-// of one decision, and the checksum is invariant to -allocreps.
-func measureRepair(p, k, n int, views []kernel.View) AllocPoint {
+// and partition (untimed), then 8 weight deltas + RepairPartition.
+func measureRepair(p, k, n int, views []kernel.View) Point {
 	times := make([]float64, 0, n)
 	var pt *graph.Partition
-	var s *graph.Sparse
 	part := graph.NewPartitioner()
 	touched := make([]int, 8)
 	for i := 0; i < n; i++ {
-		s = alloc.SparseInterferenceGraph(views)
+		s := alloc.SparseInterferenceGraph(views)
 		pt = s.NewPartition(k)
 		start := time.Now()
 		for t := range touched {
@@ -134,88 +101,21 @@ func measureRepair(p, k, n int, views []kernel.View) AllocPoint {
 			}
 		}
 		part.Repair(s, pt, touched)
-		times = append(times, float64(time.Since(start).Nanoseconds())/1e3)
+		times = append(times, ms(time.Since(start)))
 	}
-	out := AllocPoint{
-		Path: "repair", P: p, K: k, Invocations: n,
-		Checksum: assignChecksum(pt.Assign()), CutWeight: pt.Cut(),
-	}
-	out.P50Micros, out.P99Micros = percentiles(times)
-	fmt.Fprintf(os.Stderr, "alloc %-6s P=%-4d k=%-3d: p50 %.0fµs p99 %.0fµs (%d invocations)\n",
-		"repair", p, k, out.P50Micros, out.P99Micros, n)
-	return out
-}
-
-func percentiles(times []float64) (p50, p99 float64) {
-	sort.Float64s(times)
-	p50 = times[len(times)/2]
-	i99 := (99*len(times) + 99) / 100 // ceil(0.99n), 1-based
-	if i99 > len(times) {
-		i99 = len(times)
-	}
-	p99 = times[i99-1]
-	return p50, p99
-}
-
-func mappingChecksum(m alloc.Mapping) string {
-	h := fnv.New64a()
-	var b [8]byte
-	for _, c := range m {
-		for i := range b {
-			b[i] = byte(c >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-func assignChecksum(assign []int32) string {
-	m := make(alloc.Mapping, len(assign))
-	for i, c := range assign {
+	m := make(alloc.Mapping, p)
+	for i, c := range pt.Assign() {
 		m[i] = int(c)
 	}
-	return mappingChecksum(m.Canonical())
+	return allocPoint("repair", p, k, times, mappingChecksum(m.Canonical()), pt.Cut())
 }
 
-// checkAllocPoints is the -check extension for the allocator benchmark:
-// compare every (path, P, k) point present in both the baseline's newest
-// entry and the measured entry. Checksums must match exactly; p50 latency
-// may not regress more than the tolerance. Returns false on violation.
-func checkAllocPoints(base, cur []AllocPoint, tolerance float64) bool {
-	type key struct {
-		path string
-		p, k int
+func allocPoint(path string, p, k int, times []float64, sum string, cut float64) Point {
+	pt := Point{Case: fmt.Sprintf("%s P=%d k=%d", path, p, k), Checksum: sum}
+	pt.P50, pt.P99 = percentiles(times)
+	pt.Gated = pt.P50
+	if cut != 0 {
+		pt.Info = map[string]float64{"cut_weight": cut}
 	}
-	byKey := map[key]AllocPoint{}
-	for _, pt := range base {
-		byKey[key{pt.Path, pt.P, pt.K}] = pt
-	}
-	ok := true
-	matched := 0
-	for _, pt := range cur {
-		ref, found := byKey[key{pt.Path, pt.P, pt.K}]
-		if !found {
-			continue
-		}
-		matched++
-		if ref.Checksum != pt.Checksum {
-			fmt.Fprintf(os.Stderr, "bench: alloc %s P=%d k=%d: determinism checksum mismatch (%s vs baseline %s) — the allocator's decision changed, record a new baseline before gating on time\n",
-				pt.Path, pt.P, pt.K, pt.Checksum, ref.Checksum)
-			ok = false
-			continue
-		}
-		// Sub-millisecond points are timer/scheduler noise on shared
-		// runners: checksum-gated above, but not latency-gated.
-		if ref.P50Micros >= 1000 && pt.P50Micros > ref.P50Micros*(1+tolerance) {
-			fmt.Fprintf(os.Stderr, "bench: alloc REGRESSION: %s P=%d k=%d p50 %.0fµs vs baseline %.0fµs (%+.1f%%, tolerance %.0f%%)\n",
-				pt.Path, pt.P, pt.K, pt.P50Micros, ref.P50Micros,
-				100*(pt.P50Micros/ref.P50Micros-1), 100*tolerance)
-			ok = false
-		}
-	}
-	if ok && matched > 0 {
-		fmt.Printf("bench: alloc ok: %d points within %.0f%% of baseline, checksums identical\n",
-			matched, 100*tolerance)
-	}
-	return ok
+	return pt
 }

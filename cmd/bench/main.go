@@ -1,44 +1,40 @@
-// Command bench is the reproducible performance harness for the simulator's
-// headline workload: the Figure 10 sweep (every 4-subset of a 6-benchmark
-// pool, two-phase methodology) at the Quick scale — the same work as
-// BenchmarkFigure10 in bench_test.go, but self-timed and recorded to a JSON
-// artifact so before/after comparisons survive in the repository.
+// Command bench is the reproducible performance harness. It measures a
+// registry of layers — the Figure 10 sweep (the headline end-to-end number,
+// the same work as BenchmarkFigure10 in bench_test.go), the same sweep at
+// GOMAXPROCS=1, and the allocator, signature, trace I/O, coordinator and
+// churn layers — and records every measured case as one Point in a JSON
+// artifact, so before/after comparisons survive in the repository.
 //
-// Protocol: the sweep runs -reps times in one process; the minimum wall time
-// is the headline number (robust to ambient load on shared hosts), and the
-// per-rep times are kept so noise is visible. The sweep's avg/max
-// improvement metrics are recorded as a determinism checksum: two builds
-// that disagree on them are not running the same experiment, and their
-// times must not be compared.
+// Every point carries a determinism checksum of what it computed: two
+// builds whose checksums differ did not run the same experiment, and their
+// times must not be compared. Each layer gates one statistic (see layers);
+// baseline points whose statistic is below the layer's floor are too fast
+// to time reliably on shared hosts and are checked by checksum only.
 //
 // Usage:
 //
-//	go run ./cmd/bench -label after -out results/BENCH_2026-08-06.json
+//	go run ./cmd/bench -layers sweep,alloc -reps 3 -label after -out results/BENCH_<date>.json
+//	go run ./cmd/bench -layers sweep,alloc,sig,trace,churn -check results/BENCH_<date>.json
 //
-// When -out names an existing file produced by this tool, the new entry is
-// appended, so running the tool once per build accumulates a comparison
-// (build the tool at the baseline commit and point -out at the same file).
-//
-// Regression gate: `bench -check results/BENCH_<date>.json -tolerance 0.15`
-// measures as usual, then compares against the newest entry of the baseline
-// file and exits non-zero when the sweep is more than the tolerance slower
-// (or when the determinism checksums diverge — different experiments must
-// never be compared). In check mode no artifact is written unless -out is
-// given explicitly.
-//
-// Allocator microbenchmark: -alloc adds the dense/sparse/repair allocation
-// latency sweep (P ∈ {64, 256, 1024, 4096}, k = P/16) to the entry;
-// -alloconly runs just that sweep. See alloc.go for the protocol and the
-// -allocreps/-allocdense knobs. The -check gate extends to allocator points
-// present in both entries.
+// -out appends the entry to the file (creating it); without -out nothing is
+// written. -check compares against the newest entry of the file recorded on
+// the same host (CPU model, nproc, GOMAXPROCS, GOARCH, Go version) and exits
+// non-zero on any violation: a checksum mismatch, a gated statistic more
+// than -tolerance slower, a measured case the baseline lacks, or no
+// same-host baseline at all.
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"os"
 	"runtime"
+	"sort"
+	"strings"
 	"time"
 
 	"symbiosched/internal/alloc"
@@ -48,316 +44,383 @@ import (
 
 // Report is the on-disk artifact: one file, many labelled entries.
 type Report struct {
-	Benchmark string  `json:"benchmark"`
-	Protocol  string  `json:"protocol"`
-	Entries   []Entry `json:"entries"`
+	Protocol string  `json:"protocol"`
+	Entries  []Entry `json:"entries"`
 }
 
-// Entry is one measured build.
+// Entry is one measured build on one host.
 type Entry struct {
-	Label      string    `json:"label"`
-	Date       string    `json:"date"`
-	GoVersion  string    `json:"go_version"`
-	GOMAXPROCS int       `json:"gomaxprocs"`
-	Reps       []float64 `json:"rep_seconds"`
-	MinSeconds float64   `json:"min_seconds"`
-	// Determinism checksum: the experiment's own outputs. Entries whose
-	// checksums differ are not comparable.
-	AvgImprovementPct float64 `json:"avg_improvement_pct"`
-	MaxImprovementPct float64 `json:"max_improvement_pct"`
-	Note              string  `json:"note,omitempty"`
-	// Alloc holds the allocator microbenchmark points when -alloc was given;
-	// see cmd/bench/alloc.go.
-	Alloc []AllocPoint `json:"alloc,omitempty"`
-	// Sig holds the signature-path microbenchmark points when -sig was
-	// given; see cmd/bench/sig.go.
-	Sig []SigPoint `json:"sig,omitempty"`
-	// Trace holds the trace I/O benchmark points when -trace was given;
-	// see cmd/bench/trace.go.
-	Trace []TracePoint `json:"trace,omitempty"`
-	// Coord holds the coordinator service benchmark points when -coord was
-	// given; see cmd/bench/coord.go. Recorded but never gated by -check.
-	Coord []CoordPoint `json:"coord,omitempty"`
-	// Churn holds the arrival/departure benchmark points when -churn was
-	// given; see cmd/bench/churn.go.
-	Churn []ChurnPoint `json:"churn,omitempty"`
-	// RepsMP1/MinSecondsMP1 record the same sweep pinned to GOMAXPROCS=1
-	// when -mp1 was given, so single-core and native-parallel numbers live
-	// in one entry (on a 1-vCPU host the two coincide; recording both keeps
-	// the protocol honest when the host grows cores).
-	RepsMP1       []float64 `json:"rep_seconds_mp1,omitempty"`
-	MinSecondsMP1 float64   `json:"min_seconds_mp1,omitempty"`
+	Label  string  `json:"label"`
+	Date   string  `json:"date"`
+	Note   string  `json:"note,omitempty"`
+	Host   Host    `json:"host"`
+	Reps   int     `json:"reps"`
+	Points []Point `json:"points"`
 }
+
+// Host identifies the machine and toolchain an entry was measured on. Times
+// are only compared between entries whose stamps are equal.
+type Host struct {
+	CPU        string `json:"cpu"`
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GOARCH     string `json:"goarch"`
+	GoVersion  string `json:"go_version"`
+}
+
+// Point is one measured case of one layer. Times are milliseconds; Gated
+// holds the layer's gated statistic. Info carries derived figures (speedups,
+// crossovers, file sizes, migrations per event) that are never gated.
+type Point struct {
+	Layer    string             `json:"layer"`
+	Case     string             `json:"case"`
+	P50      float64            `json:"p50_ms"`
+	P99      float64            `json:"p99_ms"`
+	Gated    float64            `json:"gated_ms"`
+	Checksum string             `json:"checksum"`
+	Info     map[string]float64 `json:"info,omitempty"`
+}
+
+// layer is one registry entry: its name, what Gated holds, the floor (ms)
+// below which a baseline point is checked by checksum only, and the
+// measurement of its fixed cases at a given sample count.
+type layer struct {
+	name  string
+	stat  string
+	floor float64
+	run   func(reps int) []Point
+}
+
+var layers = []layer{
+	{"sweep", "min wall", 0, func(reps int) []Point { return runSweep(reps, false) }},
+	{"sweep-mp1", "min wall at GOMAXPROCS=1", 0, func(reps int) []Point { return runSweep(reps, true) }},
+	{"alloc", "p50", 1, runAllocBench},
+	{"sig", "monitor-quantum min", 1, runSigBench},
+	{"trace", "open p50", 10, runTraceBench},
+	// Loopback HTTP and fsync latency vary too much across hosts for any
+	// useful tolerance, so coord is recorded but never gated.
+	{"coord", "lease p50", math.Inf(1), runCoordBench},
+	{"churn", "insert p50 or rebuild median", 1, runChurnBench},
+}
+
+// mixSize is the Figure 10 mix size: every 4-subset of the 6-profile pool.
+const mixSize = 4
 
 func main() {
-	reps := flag.Int("reps", 3, "sweep repetitions (minimum wall time is reported)")
+	names := make([]string, len(layers))
+	for i, l := range layers {
+		names[i] = l.name
+	}
+	layerList := flag.String("layers", "sweep", "comma-separated layers to measure: "+strings.Join(names, ","))
+	reps := flag.Int("reps", 3, "samples per case, in every layer")
 	label := flag.String("label", "HEAD", "entry label, e.g. a commit id")
-	out := flag.String("out", "", "JSON artifact path (default results/BENCH_<date>.json); appended to if it exists")
 	note := flag.String("note", "", "free-form provenance note stored with the entry")
-	mixSize := flag.Int("mixsize", 4, "benchmarks per mix")
-	shards := flag.Int("shards", 1, "run the sweep as N sequential in-process shards and merge them (1 = direct sweep); exercises the shard protocol end to end")
-	check := flag.String("check", "", "baseline bench JSON: compare against its newest entry and exit non-zero on regression")
-	tolerance := flag.Float64("tolerance", 0.15, "allowed fractional slowdown vs the baseline in -check mode")
-	allocBench := flag.Bool("alloc", false, "also run the allocator microbenchmark (dense/sparse/repair latency across the P-sweep)")
-	allocOnly := flag.Bool("alloconly", false, "run only the allocator microbenchmark, skipping the Figure 10 sweep")
-	allocReps := flag.Int("allocreps", 21, "allocator benchmark invocations per point (p50/p99 are computed over these)")
-	allocDense := flag.Int("allocdense", 256, "largest P at which the dense allocator baseline is measured (0 disables; P=1024 costs minutes per invocation)")
-	sigBench := flag.Bool("sig", false, "also run the signature-path microbenchmark (per-switch capture cost eager vs lazy, monitor-quantum latency across the (P,N) grid)")
-	sigOnly := flag.Bool("sigonly", false, "run only the signature-path microbenchmark, skipping the Figure 10 sweep")
-	sigReps := flag.Int("sigreps", 7, "signature benchmark samples per point (p50 is computed over these)")
-	traceBench := flag.Bool("trace", false, "also run the trace I/O benchmark (open-to-first-run and replay throughput, v1 vs compiled vs mmap vs compressed)")
-	traceOnly := flag.Bool("traceonly", false, "run only the trace I/O benchmark, skipping the Figure 10 sweep")
-	traceReps := flag.Int("tracereps", 11, "trace benchmark open samples per format (p50/p99 are computed over these)")
-	traceMB := flag.Int("tracemb", 128, "trace benchmark fixture size in MiB of resident run records")
-	coordBench := flag.Bool("coord", false, "also run the coordinator service benchmark (concurrent fake-worker fleet over real HTTP against one journaled daemon)")
-	coordOnly := flag.Bool("coordonly", false, "run only the coordinator service benchmark, skipping the Figure 10 sweep")
-	coordWorkers := flag.Int("coordworkers", 50, "coordinator benchmark fleet size (concurrent fake workers)")
-	coordShards := flag.Int("coordshards", 64, "coordinator benchmark campaign shard count")
-	churnBench := flag.Bool("churn", false, "also run the churn benchmark (per-event arrival/departure/aging cost vs full rebuild, Poisson campaigns at P in {256, 1024})")
-	churnOnly := flag.Bool("churnonly", false, "run only the churn benchmark, skipping the Figure 10 sweep")
-	churnQuanta := flag.Int("churnquanta", 200, "churn benchmark campaign length in monitor quanta")
-	mp1 := flag.Bool("mp1", false, "after the native-GOMAXPROCS reps, repeat the sweep pinned to GOMAXPROCS=1 and record both in the entry")
+	out := flag.String("out", "", "JSON artifact to append the entry to (nothing is written without it)")
+	check := flag.String("check", "", "baseline JSON: compare against its newest same-host entry and exit non-zero on any violation")
+	tolerance := flag.Float64("tolerance", 0.15, "allowed fractional slowdown of a gated statistic in -check mode")
 	flag.Parse()
-	if *allocOnly {
-		*allocBench = true
+	if *reps < 1 {
+		fatal(fmt.Errorf("-reps %d: need at least one sample", *reps))
 	}
-	if *sigOnly {
-		*sigBench = true
-	}
-	if *traceOnly {
-		*traceBench = true
-	}
-	if *coordOnly {
-		*coordBench = true
-	}
-	if *churnOnly {
-		*churnBench = true
-	}
-	microOnly := *allocOnly || *sigOnly || *traceOnly || *coordOnly || *churnOnly
-
-	cfg := experiments.Quick()
-	pool := pool()
-	policy := alloc.WeightedInterferenceGraph{}
-
-	// runSweep is one rep: either the direct sweep or the full shard
-	// protocol (SweepShard × N + MergeShards). Both must produce identical
-	// determinism checksums — a -shards entry that disagrees with a direct
-	// entry indicates a broken merge, not a different experiment.
-	runSweep := func() experiments.ImprovementReport {
-		if *shards <= 1 {
-			return cfg.Sweep(pool, policy, *mixSize, nil)
-		}
-		parts := make([]experiments.Shard, *shards)
-		for i := range parts {
-			sc := cfg
-			sc.ShardIndex, sc.ShardTotal = i, *shards
-			s, err := sc.SweepShard(pool, policy, *mixSize, nil)
-			if err != nil {
-				fatal(err)
-			}
-			parts[i] = s
-		}
-		rep, err := experiments.MergeShards(parts)
-		if err != nil {
-			fatal(err)
-		}
-		return rep
+	selected, err := selectLayers(*layerList)
+	if err != nil {
+		fatal(err)
 	}
 
 	e := Entry{
-		Label:      *label,
-		Date:       time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		MinSeconds: -1,
-		Note:       *note,
+		Label: *label,
+		Date:  time.Now().UTC().Format(time.RFC3339),
+		Note:  *note,
+		Host:  hostStamp(),
+		Reps:  *reps,
 	}
-	if *shards > 1 {
-		tag := fmt.Sprintf("sharded %d-way in process, merged", *shards)
-		if e.Note == "" {
-			e.Note = tag
-		} else {
-			e.Note += "; " + tag
+	var base Entry
+	if *check != "" { // refuse before measuring, not after
+		rpt, err := readReport(*check)
+		if err != nil {
+			fatal(err)
+		}
+		if base, err = baselineFor(rpt, e.Host); err != nil {
+			fatal(fmt.Errorf("%s: %w", *check, err))
 		}
 	}
-	if !microOnly {
-		for i := 0; i < *reps; i++ {
-			start := time.Now()
-			rep := runSweep()
-			secs := time.Since(start).Seconds()
-			e.Reps = append(e.Reps, secs)
-			if e.MinSeconds < 0 || secs < e.MinSeconds {
-				e.MinSeconds = secs
-			}
-			e.AvgImprovementPct = 100 * rep.Overall()
-			e.MaxImprovementPct = 100 * rep.MaxOverall()
-			fmt.Fprintf(os.Stderr, "rep %d/%d: %.3fs (avg %.3f%%, max %.2f%%)\n",
-				i+1, *reps, secs, e.AvgImprovementPct, e.MaxImprovementPct)
-		}
-		if *mp1 {
-			native := runtime.GOMAXPROCS(1)
-			for i := 0; i < *reps; i++ {
-				start := time.Now()
-				rep := runSweep()
-				secs := time.Since(start).Seconds()
-				e.RepsMP1 = append(e.RepsMP1, secs)
-				if e.MinSecondsMP1 == 0 || secs < e.MinSecondsMP1 {
-					e.MinSecondsMP1 = secs
-				}
-				// The sweep is deterministic regardless of parallelism; a
-				// GOMAXPROCS=1 run that disagrees is a concurrency bug.
-				if 100*rep.Overall() != e.AvgImprovementPct || 100*rep.MaxOverall() != e.MaxImprovementPct {
-					fatal(fmt.Errorf("GOMAXPROCS=1 sweep diverged from native run: avg %.12f%% vs %.12f%%",
-						100*rep.Overall(), e.AvgImprovementPct))
-				}
-				fmt.Fprintf(os.Stderr, "rep %d/%d (GOMAXPROCS=1): %.3fs\n", i+1, *reps, secs)
-			}
-			runtime.GOMAXPROCS(native)
+	for _, l := range selected {
+		for _, p := range l.run(*reps) {
+			p.Layer = l.name
+			fmt.Println(p)
+			e.Points = append(e.Points, p)
 		}
 	}
-	if *allocBench {
-		e.Alloc = runAllocBench(*allocReps, *allocDense)
-	}
-	if *sigBench {
-		e.Sig = runSigBench(*sigReps)
-	}
-	if *traceBench {
-		e.Trace = runTraceBench(*traceReps, *traceMB)
-	}
-	if *coordBench {
-		e.Coord = runCoordBench([]int{*coordWorkers}, *coordShards)
-	}
-	if *churnBench {
-		e.Churn = runChurnBench(*churnQuanta)
+	if err := sameSweep(e.Points); err != nil {
+		fatal(err)
 	}
 
 	if *check != "" {
-		checkRegression(*check, e, *tolerance, !microOnly)
-		if *out == "" {
-			return
+		if vs := compare(base, e, *tolerance); len(vs) > 0 {
+			for _, v := range vs {
+				fmt.Fprintln(os.Stderr, "bench:", v)
+			}
+			os.Exit(1)
 		}
+		fmt.Printf("bench: ok: %d points match baseline %q (checksums identical, gated statistics within %.0f%%)\n",
+			len(e.Points), base.Label, 100**tolerance)
 	}
-	if microOnly && *out == "" {
-		// The micro-only sweeps are smoke/inspection modes (make allocbench,
-		// make sigbench); recording an artifact requires an explicit -out.
-		return
-	}
-
-	path := *out
-	if path == "" {
-		path = "results/BENCH_" + time.Now().UTC().Format("2006-01-02") + ".json"
-	}
-	rpt := load(path)
-	rpt.Entries = append(rpt.Entries, e)
-	buf, err := json.MarshalIndent(rpt, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		fatal(err)
-	}
-	if microOnly {
-		fmt.Printf("%s: %s %d allocator points, %d signature points, %d trace points, %d coordinator points, %d churn points\n",
-			path, e.Label, len(e.Alloc), len(e.Sig), len(e.Trace), len(e.Coord), len(e.Churn))
-		return
-	}
-	fmt.Printf("%s: %s min %.3fs over %d reps\n", path, e.Label, e.MinSeconds, *reps)
-	if n := len(rpt.Entries); n >= 2 {
-		base, cur := rpt.Entries[0], rpt.Entries[n-1]
-		if base.AvgImprovementPct != cur.AvgImprovementPct {
-			fmt.Printf("note: %q and %q have different determinism checksums; speedup below compares different experiments\n",
-				base.Label, cur.Label)
+	if *out != "" {
+		rpt, err := readReport(*out)
+		if err != nil && !os.IsNotExist(err) {
+			fatal(err)
 		}
-		fmt.Printf("speedup vs %s: %.2fx\n", base.Label, base.MinSeconds/cur.MinSeconds)
+		rpt.Protocol = "each layer runs its fixed cases -reps times in one process; p50/p99/gated are milliseconds; compare only entries with equal host stamps and checksums"
+		rpt.Entries = append(rpt.Entries, e)
+		buf, err := json.MarshalIndent(rpt, "", "  ")
+		if err != nil {
+			fatal(err)
+		}
+		if err := os.WriteFile(*out, append(buf, '\n'), 0o644); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("%s: appended %q (%d points)\n", *out, e.Label, len(e.Points))
 	}
 }
 
-// checkRegression is the perf gate: the measured entry must reproduce the
-// baseline's determinism checksums exactly (otherwise the two builds ran
-// different experiments and no time comparison is meaningful) and must not
-// be more than tolerance slower than the baseline's newest entry. When both
-// entries carry allocator points, the matching points are gated the same
-// way (exact checksum, tolerance on p50). Exits the process non-zero on any
-// violation. sweepRan is false under -alloconly, where only the allocator
-// points are comparable.
-func checkRegression(path string, e Entry, tolerance float64, sweepRan bool) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		fatal(fmt.Errorf("-check baseline: %w", err))
-	}
-	var base Report
-	if err := json.Unmarshal(buf, &base); err != nil {
-		fatal(fmt.Errorf("-check baseline %s: %w", path, err))
-	}
-	if len(base.Entries) == 0 {
-		fatal(fmt.Errorf("-check baseline %s has no entries", path))
-	}
-	ref := base.Entries[len(base.Entries)-1]
-	if sweepRan {
-		if ref.AvgImprovementPct != e.AvgImprovementPct || ref.MaxImprovementPct != e.MaxImprovementPct {
-			fmt.Fprintf(os.Stderr, "bench: determinism checksum mismatch vs baseline %q: avg %.12f%% / max %.12f%%, baseline %.12f%% / %.12f%% — the experiment itself changed, record a new baseline before gating on time\n",
-				ref.Label, e.AvgImprovementPct, e.MaxImprovementPct, ref.AvgImprovementPct, ref.MaxImprovementPct)
-			os.Exit(1)
-		}
-		limit := ref.MinSeconds * (1 + tolerance)
-		ratio := e.MinSeconds/ref.MinSeconds - 1
-		if e.MinSeconds > limit {
-			fmt.Fprintf(os.Stderr, "bench: REGRESSION: min %.3fs vs baseline %q %.3fs (%+.1f%%, tolerance %.0f%%)\n",
-				e.MinSeconds, ref.Label, ref.MinSeconds, 100*ratio, 100*tolerance)
-			os.Exit(1)
-		}
-		fmt.Printf("bench: ok: min %.3fs vs baseline %q %.3fs (%+.1f%%, tolerance %.0f%%)\n",
-			e.MinSeconds, ref.Label, ref.MinSeconds, 100*ratio, 100*tolerance)
-	}
-	if len(e.Alloc) > 0 && len(ref.Alloc) > 0 {
-		if !checkAllocPoints(ref.Alloc, e.Alloc, tolerance) {
-			os.Exit(1)
+// selectLayers resolves a comma-separated list against the registry,
+// keeping registry order.
+func selectLayers(list string) ([]layer, error) {
+	want := map[string]bool{}
+	for _, n := range strings.Split(list, ",") {
+		if n = strings.TrimSpace(n); n != "" {
+			want[n] = true
 		}
 	}
-	if len(e.Sig) > 0 && len(ref.Sig) > 0 {
-		if !checkSigPoints(ref.Sig, e.Sig, tolerance) {
-			os.Exit(1)
+	var out []layer
+	for _, l := range layers {
+		if want[l.name] {
+			out = append(out, l)
+			delete(want, l.name)
 		}
 	}
-	if len(e.Trace) > 0 && len(ref.Trace) > 0 {
-		if !checkTracePoints(ref.Trace, e.Trace, tolerance) {
-			os.Exit(1)
-		}
+	for n := range want {
+		return nil, fmt.Errorf("-layers: unknown layer %q", n)
 	}
-	if len(e.Churn) > 0 && len(ref.Churn) > 0 {
-		if !checkChurnPoints(ref.Churn, e.Churn, tolerance) {
-			os.Exit(1)
-		}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("-layers: no layer selected")
 	}
+	return out, nil
 }
 
-// pool returns the Figure 10 bench pool: six SPEC profiles spanning every
-// behaviour class (15 four-benchmark mixes), matching bench_test.go.
-func pool() []workload.Profile {
-	var out []workload.Profile
+func layerNamed(name string) layer {
+	for _, l := range layers {
+		if l.name == name {
+			return l
+		}
+	}
+	return layer{}
+}
+
+type violation string
+
+// compare is the whole gate: cur must come from base's host, every measured
+// point must have a baseline counterpart with an identical checksum, every
+// baseline case of a measured layer must have been measured, and no gated
+// statistic at or above its layer's floor may be more than tol slower.
+func compare(base, cur Entry, tol float64) []violation {
+	if base.Host != cur.Host {
+		return []violation{violation(fmt.Sprintf("host %+v differs from baseline %q's %+v: record a new baseline on this host",
+			cur.Host, base.Label, base.Host))}
+	}
+	type key struct{ layer, cse string }
+	ref := map[key]Point{}
+	for _, p := range base.Points {
+		ref[key{p.Layer, p.Case}] = p
+	}
+	var vs []violation
+	bad := func(format string, a ...any) { vs = append(vs, violation(fmt.Sprintf(format, a...))) }
+	measured := map[key]bool{}
+	layerMeasured := map[string]bool{}
+	for _, p := range cur.Points {
+		measured[key{p.Layer, p.Case}] = true
+		layerMeasured[p.Layer] = true
+		r, ok := ref[key{p.Layer, p.Case}]
+		switch {
+		case !ok:
+			bad("%s %s: no baseline point in %q: record a new baseline", p.Layer, p.Case, base.Label)
+		case r.Checksum != p.Checksum:
+			bad("%s %s: checksum %s, baseline %s: the computation changed, record a new baseline before gating on time",
+				p.Layer, p.Case, p.Checksum, r.Checksum)
+		case r.Gated >= layerNamed(p.Layer).floor && p.Gated > r.Gated*(1+tol):
+			bad("%s %s: REGRESSION: %s %.3fms vs baseline %.3fms (%+.1f%%, tolerance %.0f%%)",
+				p.Layer, p.Case, layerNamed(p.Layer).stat, p.Gated, r.Gated, 100*(p.Gated/r.Gated-1), 100*tol)
+		}
+	}
+	for _, r := range base.Points {
+		if layerMeasured[r.Layer] && !measured[key{r.Layer, r.Case}] {
+			bad("%s %s: baseline case was not measured", r.Layer, r.Case)
+		}
+	}
+	return vs
+}
+
+// baselineFor returns the newest entry recorded on host h.
+func baselineFor(rpt Report, h Host) (Entry, error) {
+	for i := len(rpt.Entries) - 1; i >= 0; i-- {
+		if rpt.Entries[i].Host == h {
+			return rpt.Entries[i], nil
+		}
+	}
+	return Entry{}, fmt.Errorf("no entry was recorded on this host (%+v): record a new baseline with -out", h)
+}
+
+// sameSweep checks that the native and GOMAXPROCS=1 sweeps, when both ran,
+// simulated identical outcomes: the sweep is deterministic regardless of
+// parallelism, so a mismatch is a concurrency bug.
+func sameSweep(points []Point) error {
+	sums := map[string]string{}
+	for _, p := range points {
+		if p.Layer == "sweep" || p.Layer == "sweep-mp1" {
+			sums[p.Layer] = p.Checksum
+		}
+	}
+	if len(sums) == 2 && sums["sweep"] != sums["sweep-mp1"] {
+		return fmt.Errorf("GOMAXPROCS=1 sweep diverged from the native run: digest %s vs %s", sums["sweep-mp1"], sums["sweep"])
+	}
+	return nil
+}
+
+// runSweep times the Figure 10 sweep reps times, each rep run as one
+// SweepShard merged by MergeShards so the shard protocol is exercised end to
+// end. The checksum is the digest of every simulated outcome; with mp1 the
+// reps run pinned to GOMAXPROCS=1.
+func runSweep(reps int, mp1 bool) []Point {
+	if mp1 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	}
+	cfg := experiments.Quick()
+	// The bench pool of bench_test.go: six SPEC profiles spanning every
+	// behaviour class.
+	var pool []workload.Profile
 	for _, n := range []string{"mcf", "omnetpp", "libquantum", "hmmer", "povray", "gobmk"} {
 		p, err := workload.ByName(n)
 		if err != nil {
 			fatal(err)
 		}
-		out = append(out, p)
+		pool = append(pool, p)
 	}
-	return out
+	pt := Point{Case: "fig10-quick"}
+	times := make([]float64, 0, reps)
+	for i := 0; i < reps; i++ {
+		start := time.Now()
+		s, err := cfg.SweepShard(pool, alloc.WeightedInterferenceGraph{}, mixSize, nil)
+		if err != nil {
+			fatal(err)
+		}
+		rep, err := experiments.MergeShards([]experiments.Shard{s})
+		if err != nil {
+			fatal(err)
+		}
+		times = append(times, ms(time.Since(start)))
+		sum := experiments.OutcomeDigest(s.Outcomes)
+		if i > 0 && sum != pt.Checksum {
+			fatal(fmt.Errorf("sweep rep %d: digest %s, rep 1 %s: the sweep is not deterministic", i+1, sum, pt.Checksum))
+		}
+		pt.Checksum = sum
+		pt.Info = map[string]float64{
+			"avg_improvement_pct": 100 * rep.Overall(),
+			"max_improvement_pct": 100 * rep.MaxOverall(),
+			"mixes":               float64(len(s.Outcomes)),
+		}
+	}
+	pt.P50, pt.P99 = percentiles(times)
+	pt.Gated = times[0] // sorted by percentiles: the minimum
+	return []Point{pt}
 }
 
-func load(path string) Report {
-	rpt := Report{
-		Benchmark: "Figure10 sweep: 6-benchmark SPEC pool, 4-per-mix, Quick scale, WIG policy",
-		Protocol:  "N reps in one process, minimum wall time reported; run baseline and candidate builds in one quiet window and compare min_seconds",
+// String renders a point as one result line.
+func (p Point) String() string {
+	keys := make([]string, 0, len(p.Info))
+	for k := range p.Info {
+		keys = append(keys, k)
 	}
-	buf, err := os.ReadFile(path)
+	sort.Strings(keys)
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-9s %-22s p50 %10.3fms p99 %10.3fms gated %10.3fms %16s", p.Layer, p.Case, p.P50, p.P99, p.Gated, p.Checksum)
+	for _, k := range keys {
+		fmt.Fprintf(&b, " %s=%.4g", k, p.Info[k])
+	}
+	return b.String()
+}
+
+func hostStamp() Host {
+	return Host{
+		CPU:        cpuModel(),
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GOARCH:     runtime.GOARCH,
+		GoVersion:  runtime.Version(),
+	}
+}
+
+// cpuModel returns the kernel's name for the processor, or "unknown" where
+// /proc/cpuinfo is absent or carries no model name.
+func cpuModel() string {
+	f, err := os.Open("/proc/cpuinfo")
 	if err != nil {
-		return rpt
+		return "unknown"
 	}
-	if err := json.Unmarshal(buf, &rpt); err != nil {
-		fatal(fmt.Errorf("%s exists but is not a bench report: %w", path, err))
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		key, val, ok := strings.Cut(sc.Text(), ":")
+		if ok && strings.TrimSpace(key) == "model name" {
+			return strings.TrimSpace(val)
+		}
 	}
-	return rpt
+	return "unknown"
+}
+
+// readReport loads an artifact in the current shape; files in any other
+// shape (unknown fields) are refused rather than silently rewritten.
+func readReport(path string) (Report, error) {
+	var rpt Report
+	f, err := os.Open(path)
+	if err != nil {
+		return rpt, err
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&rpt); err != nil {
+		return rpt, fmt.Errorf("%s is not a bench report in the current shape: %w", path, err)
+	}
+	return rpt, nil
+}
+
+// percentiles sorts times in place and returns its p50 and p99.
+func percentiles(times []float64) (p50, p99 float64) {
+	if len(times) == 0 {
+		return 0, 0
+	}
+	sort.Float64s(times)
+	i99 := (99*len(times) + 99) / 100 // ceil(0.99n), 1-based
+	if i99 > len(times) {
+		i99 = len(times)
+	}
+	return times[len(times)/2], times[i99-1]
+}
+
+func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
+
+// mappingChecksum hashes a canonical mapping: the decision checksum of the
+// allocator, signature and churn layers.
+func mappingChecksum(m alloc.Mapping) string {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, c := range m {
+		for i := range b {
+			b[i] = byte(c >> (8 * i))
+		}
+		h.Write(b[:])
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 func fatal(err error) {

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"hash/fnv"
-	"os"
 	"time"
 
 	"symbiosched/internal/alloc"
@@ -12,7 +11,7 @@ import (
 	"symbiosched/internal/monitor"
 )
 
-// The signature-path microbenchmark: what one context switch costs the
+// The signature layer: what one context switch costs the
 // signature unit, and what one full monitor quantum costs the control loop,
 // as the thread count P and core count N grow. Two capture modes per point:
 //
@@ -29,35 +28,15 @@ import (
 // (including materialization), smoothing, allocation — with fresh captures
 // before every invocation, the way a live control loop pays it.
 //
-// Latencies are p50 over -sigreps samples; the checksums (FNV of the
-// materialized records and of the monitor's mapping decision) are
-// determinism gates exactly like the sweep's improvement percentages.
+// Each (P, N) cell is one point: its times are the monitor quantum's, the
+// per-switch capture costs go in Info, and its checksum pairs the FNV of the
+// materialized records with that of the monitor's mapping decision
+// ("capture/monitor"). A sample that disagrees with the first, or eager
+// capture that disagrees with lazy, aborts the run.
 
 // sigGrid is the (threads, cores) sweep; geometry is the paper's 4 MB
 // 16-way L2 (4096 sets) with the default 1/4 set sampling.
 var sigGrid = [][2]int{{8, 2}, {32, 4}, {64, 8}, {256, 16}, {1024, 64}}
-
-// SigPoint is one (P, N) cell of the signature benchmark.
-type SigPoint struct {
-	P        int `json:"p"`        // threads
-	N        int `json:"n"`        // cores
-	Switches int `json:"switches"` // timed switches per sample
-	// Per-switch capture cost under each mode, p50 over samples.
-	EagerNsPerSwitch float64 `json:"eager_ns_per_switch"`
-	LazyNsPerSwitch  float64 `json:"lazy_ns_per_switch"`
-	Speedup          float64 `json:"speedup"`
-	// Full monitor quantum on the lazy unit: snapshot + smooth + allocate.
-	// Min is the gated statistic (robust to ambient load, like the sweep's
-	// min_seconds); p50/p99 show the spread.
-	MonitorMinMicros float64 `json:"monitor_min_micros"`
-	MonitorP50Micros float64 `json:"monitor_p50_micros"`
-	MonitorP99Micros float64 `json:"monitor_p99_micros"`
-	// SigChecksum hashes every thread's materialized record (identical for
-	// both modes by construction — verified before the point is emitted).
-	SigChecksum string `json:"sig_checksum"`
-	// Checksum hashes the monitor's final mapping decision.
-	Checksum string `json:"checksum"`
-}
 
 // sigBench holds one capture mode's replay state.
 type sigBench struct {
@@ -154,7 +133,7 @@ func (b *sigBench) checksum() string {
 // timed batch, and the checksum of the final captured records. Every sample
 // replays the IDENTICAL schedule from the identical starting state — the
 // timings are repeated samples of one computation and the checksum is
-// invariant to -sigreps, matching the allocator benchmark's protocol.
+// invariant to -reps, matching the allocator layer's protocol.
 func sampleSwitches(p, n, iters int, eager bool) (nsPerSwitch float64, sum string) {
 	b := newSigBench(p, n, eager)
 	b.run(n, iters)
@@ -162,16 +141,12 @@ func sampleSwitches(p, n, iters int, eager bool) (nsPerSwitch float64, sum strin
 	return float64(t.Nanoseconds()) / float64(iters), b.checksum()
 }
 
-// runSigBench measures every (P, N) point of the grid.
-func runSigBench(reps int) []SigPoint {
-	var points []SigPoint
+// runSigBench measures every (P, N) cell of the grid.
+func runSigBench(reps int) []Point {
+	var points []Point
 	for _, cell := range sigGrid {
 		p, n := cell[0], cell[1]
-		iters := 2 * p
-		if iters < 512 {
-			iters = 512
-		}
-
+		iters := max(2*p, 512)
 		eagerNs := make([]float64, 0, reps)
 		lazyNs := make([]float64, 0, reps)
 		var eagerSum, lazySum string
@@ -189,19 +164,20 @@ func runSigBench(reps int) []SigPoint {
 		if eagerSum != lazySum {
 			fatal(fmt.Errorf("sig P=%d N=%d: eager and lazy capture disagree (%s vs %s) — the lazy path is broken, do not record this build", p, n, eagerSum, lazySum))
 		}
+		eager, _ := percentiles(eagerNs)
+		lazy, _ := percentiles(lazyNs)
 
-		pt := SigPoint{P: p, N: n, Switches: iters, SigChecksum: lazySum}
-		pt.EagerNsPerSwitch, _ = percentiles(eagerNs)
-		pt.LazyNsPerSwitch, _ = percentiles(lazyNs)
-		if pt.LazyNsPerSwitch > 0 {
-			pt.Speedup = pt.EagerNsPerSwitch / pt.LazyNsPerSwitch
+		times, decision := measureMonitorQuantum(p, n, iters, reps)
+		pt := Point{Case: fmt.Sprintf("P=%d N=%d", p, n), Checksum: lazySum + "/" + decision}
+		pt.P50, pt.P99 = percentiles(times)
+		pt.Gated = times[0] // sorted by percentiles: the minimum, robust to ambient load
+		pt.Info = map[string]float64{
+			"switches":            float64(iters),
+			"eager_ns_per_switch": eager,
+			"lazy_ns_per_switch":  lazy,
+			"capture_speedup":     eager / lazy,
 		}
-
-		pt.MonitorMinMicros, pt.MonitorP50Micros, pt.MonitorP99Micros, pt.Checksum = measureMonitorQuantum(p, n, iters, reps)
 		points = append(points, pt)
-		fmt.Fprintf(os.Stderr, "sig   P=%-4d N=%-3d: eager %.0fns lazy %.0fns per switch (%.1fx), monitor min %.0fµs p50 %.0fµs p99 %.0fµs\n",
-			p, n, pt.EagerNsPerSwitch, pt.LazyNsPerSwitch, pt.Speedup,
-			pt.MonitorMinMicros, pt.MonitorP50Micros, pt.MonitorP99Micros)
 	}
 	return points
 }
@@ -210,8 +186,9 @@ func runSigBench(reps int) []SigPoint {
 // snapshot with deferred materialization, smoothing, allocation. Like the
 // switch samples, every invocation rebuilds the identical state — fresh
 // unit, fresh captures for all P threads, fresh monitor — so the mapping
-// checksum is a pure function of (P, N), invariant to -sigreps.
-func measureMonitorQuantum(p, n, iters, reps int) (min, p50, p99 float64, checksum string) {
+// checksum is a pure function of (P, N), invariant to -reps. It returns the
+// per-invocation times (ms) and the decision checksum.
+func measureMonitorQuantum(p, n, iters, reps int) ([]float64, string) {
 	procs := make([]*kernel.Process, p)
 	for i := range procs {
 		pr := &kernel.Process{ID: i, Name: fmt.Sprintf("t%d", i)}
@@ -233,54 +210,12 @@ func measureMonitorQuantum(p, n, iters, reps int) (min, p50, p99 float64, checks
 		mo.Smoothing = 0.5
 		start := time.Now()
 		mapping = mo.Observe(procs, n)
-		times = append(times, float64(time.Since(start).Nanoseconds())/1e3)
+		times = append(times, ms(time.Since(start)))
 		if cur := mappingChecksum(mapping.Canonical()); s == 0 {
 			sum = cur
 		} else if cur != sum {
 			fatal(fmt.Errorf("sig P=%d N=%d: monitor decision not deterministic", p, n))
 		}
 	}
-	p50, p99 = percentiles(times)
-	return times[0], p50, p99, sum // times sorted by percentiles: [0] is min
-}
-
-// checkSigPoints is the -check extension for the signature benchmark:
-// compare every (P, N) point present in both entries. Both checksums must
-// match exactly; the monitor quantum's MINIMUM latency is gated by the
-// tolerance when it is large enough to be meaningful (≥1ms) — the quantum
-// is measured per invocation with no batch amortization, so its p50 wobbles
-// far more than the allocator's on shared hosts, while the min is robust to
-// ambient load exactly like the sweep's min_seconds. The per-switch
-// nanosecond figures are informational and never latency-gated.
-func checkSigPoints(base, cur []SigPoint, tolerance float64) bool {
-	type key struct{ p, n int }
-	byKey := map[key]SigPoint{}
-	for _, pt := range base {
-		byKey[key{pt.P, pt.N}] = pt
-	}
-	ok := true
-	matched := 0
-	for _, pt := range cur {
-		ref, found := byKey[key{pt.P, pt.N}]
-		if !found {
-			continue
-		}
-		matched++
-		if ref.SigChecksum != pt.SigChecksum || ref.Checksum != pt.Checksum {
-			fmt.Fprintf(os.Stderr, "bench: sig P=%d N=%d: determinism checksum mismatch (sig %s/%s vs baseline %s/%s) — the capture or the decision changed, record a new baseline before gating on time\n",
-				pt.P, pt.N, pt.SigChecksum, pt.Checksum, ref.SigChecksum, ref.Checksum)
-			ok = false
-			continue
-		}
-		if ref.MonitorMinMicros >= 1000 && pt.MonitorMinMicros > ref.MonitorMinMicros*(1+tolerance) {
-			fmt.Fprintf(os.Stderr, "bench: sig REGRESSION: P=%d N=%d monitor min %.0fµs vs baseline %.0fµs (%+.1f%%, tolerance %.0f%%)\n",
-				pt.P, pt.N, pt.MonitorMinMicros, ref.MonitorMinMicros,
-				100*(pt.MonitorMinMicros/ref.MonitorMinMicros-1), 100*tolerance)
-			ok = false
-		}
-	}
-	if ok && matched > 0 {
-		fmt.Printf("bench: sig ok: %d points, checksums identical\n", matched)
-	}
-	return ok
+	return times, sum
 }

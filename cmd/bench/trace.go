@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -11,7 +12,7 @@ import (
 	"symbiosched/internal/workload"
 )
 
-// The trace I/O microbenchmark: what it costs to go from a corpus file on
+// The trace I/O layer: what it costs to go from a corpus file on
 // disk to the first replayed run, and how fast a full decode+replay pass
 // moves, for each of the four replay paths:
 //
@@ -25,29 +26,19 @@ import (
 //   - compressed:  v2 framed-flate container streamed frame by frame
 //     (FrameStreamReplay), the O(frame) memory path.
 //
-// The fixture is synthesized deterministically (LCG) at -tracemb MiB of
+// The fixture is synthesized deterministically (LCG) at traceMiB of
 // resident run records, written once per container, and every path must
 // replay the identical instruction stream: the FNV checksum over
 // (skip, line) pairs plus the tail is computed on every pass and all four
-// rows must agree — a divergence aborts the benchmark, so every recorded
-// point is also a replay-parity check. Open-to-first-run is p50/p99 over
-// -tracereps samples; throughput is resident MiB (records actually decoded,
-// 16 B per memory reference) per second of the full pass, so the rows are
-// comparable even though their on-disk sizes differ.
+// points must agree — a divergence aborts the run, so every recorded point
+// is also a replay-parity check. Each point's times are open-to-first-run
+// over -reps samples; throughput (Info) is resident MiB (records actually
+// decoded, 16 B per memory reference) per second of the best of -reps full
+// passes, so the formats are comparable even though their on-disk sizes
+// differ.
 
-// TracePoint is one replay path's row of the trace I/O benchmark.
-type TracePoint struct {
-	Format  string  `json:"format"`
-	FileMB  float64 `json:"file_mb"` // on-disk size of this container
-	MemRefs uint64  `json:"mem_refs"`
-	// Open-to-first-run latency over -tracereps samples.
-	OpenP50Ms float64 `json:"open_p50_ms"`
-	OpenP99Ms float64 `json:"open_p99_ms"`
-	// Full decode+replay pass, resident MiB per second.
-	ReplayMBps float64 `json:"replay_mbps"`
-	// Checksum hashes the replayed instruction stream; all formats must agree.
-	Checksum string `json:"checksum"`
-}
+// traceMiB is the fixture size in MiB of resident run records.
+const traceMiB = 128
 
 // synthTrace builds the deterministic fixture: mb MiB of 16-byte run records
 // with an mcf-like reference density (skips of 0..3) over a 256 MiB-line
@@ -106,29 +97,30 @@ type traceOpener struct {
 }
 
 func traceOpeners(dir string) []traceOpener {
-	openV1 := func(path string) (workload.RunSource, func() error, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, err
+	// fromFile opens the file and decodes it into a source; the file stays
+	// open until cleanup.
+	fromFile := func(decode func(f *os.File) (workload.RunSource, error)) func(string) (workload.RunSource, func() error, error) {
+		return func(path string) (workload.RunSource, func() error, error) {
+			f, err := os.Open(path)
+			if err != nil {
+				return nil, nil, err
+			}
+			src, err := decode(f)
+			if err != nil {
+				f.Close()
+				return nil, nil, err
+			}
+			return src, f.Close, nil
 		}
-		ct, err := trace.Compile(f)
-		if err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		return trace.NewRunReplay(ct, false, 0), f.Close, nil
 	}
-	openRead := func(path string) (workload.RunSource, func() error, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		ct, err := trace.ReadCompiled(f)
-		if err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		return trace.NewRunReplay(ct, false, 0), f.Close, nil
+	compiled := func(read func(io.Reader) (*trace.CompiledTrace, error)) func(string) (workload.RunSource, func() error, error) {
+		return fromFile(func(f *os.File) (workload.RunSource, error) {
+			ct, err := read(f)
+			if err != nil {
+				return nil, err
+			}
+			return trace.NewRunReplay(ct, false, 0), nil
+		})
 	}
 	openMmap := func(path string) (workload.RunSource, func() error, error) {
 		mt, err := trace.OpenCompiled(path)
@@ -137,21 +129,12 @@ func traceOpeners(dir string) []traceOpener {
 		}
 		return trace.NewRunReplay(mt.Trace(), false, 0), mt.Close, nil
 	}
-	openStream := func(path string) (workload.RunSource, func() error, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		fs, err := trace.NewFrameStreamReplay(f, false, 0)
-		if err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		return fs, f.Close, nil
-	}
+	openStream := fromFile(func(f *os.File) (workload.RunSource, error) {
+		return trace.NewFrameStreamReplay(f, false, 0)
+	})
 	return []traceOpener{
-		{"v1-compile", filepath.Join(dir, "bench.trc"), openV1},
-		{"compiled", filepath.Join(dir, "bench.symc"), openRead},
+		{"v1-compile", filepath.Join(dir, "bench.trc"), compiled(trace.Compile)},
+		{"compiled", filepath.Join(dir, "bench.symc"), compiled(trace.ReadCompiled)},
 		{"mmap", filepath.Join(dir, "bench.symc"), openMmap},
 		{"compressed", filepath.Join(dir, "bench-z.symc"), openStream},
 	}
@@ -159,16 +142,14 @@ func traceOpeners(dir string) []traceOpener {
 
 // runTraceBench synthesizes the fixture, writes the three containers, and
 // measures every replay path. All four checksums must agree.
-func runTraceBench(reps, mb int) []TracePoint {
+func runTraceBench(reps int) []Point {
 	dir, err := os.MkdirTemp("", "symbiosched-tracebench-")
 	if err != nil {
 		fatal(err)
 	}
 	defer os.RemoveAll(dir)
 
-	ct := synthTrace(mb)
-	fmt.Fprintf(os.Stderr, "trace: synthesizing %d MiB fixture (%d runs, %d instructions)\n",
-		mb, ct.MemRefs(), ct.Instructions())
+	ct := synthTrace(traceMiB)
 	writeWith := func(name string, write func(f *os.File) error) {
 		f, err := os.Create(filepath.Join(dir, name))
 		if err != nil {
@@ -187,17 +168,15 @@ func runTraceBench(reps, mb int) []TracePoint {
 	writeWith("bench-z.symc", func(f *os.File) error { return trace.WriteCompiledFrames(f, ct, 0, 0) })
 
 	instr, refs := ct.Instructions(), ct.MemRefs()
-	residentMB := float64(refs*16) / (1 << 20)
+	residentMiB := float64(refs*16) / (1 << 20)
 	ct = nil // the benchmark reads the files, not the fixture
 
-	var points []TracePoint
+	var points []Point
 	for _, op := range traceOpeners(dir) {
 		st, err := os.Stat(op.path)
 		if err != nil {
 			fatal(err)
 		}
-		pt := TracePoint{Format: op.format, FileMB: float64(st.Size()) / (1 << 20), MemRefs: refs}
-
 		// Open-to-first-run: open, pull one run, close. One untimed warm-up
 		// pass loads the page cache so all formats are measured warm.
 		opens := make([]float64, 0, reps)
@@ -210,17 +189,20 @@ func runTraceBench(reps, mb int) []TracePoint {
 			if _, _, mem := src.NextRun(1 << 20); !mem {
 				fatal(fmt.Errorf("trace %s: no first run", op.format))
 			}
-			ms := float64(time.Since(start).Nanoseconds()) / 1e6
+			d := time.Since(start)
 			cleanup()
 			if s >= 0 {
-				opens = append(opens, ms)
+				opens = append(opens, ms(d))
 			}
 		}
-		pt.OpenP50Ms, pt.OpenP99Ms = percentiles(opens)
+		pt := Point{Case: op.format}
+		pt.P50, pt.P99 = percentiles(opens)
+		pt.Gated = pt.P50
 
-		// Full replay pass: best of 3, so a page-cache hiccup cannot mark a
-		// fast path slow.
-		for s := 0; s < 3; s++ {
+		// Full replay passes: the best one counts, so a page-cache hiccup
+		// cannot mark a fast path slow.
+		var best float64
+		for s := 0; s < reps; s++ {
 			src, cleanup, err := op.open(op.path)
 			if err != nil {
 				fatal(err)
@@ -234,63 +216,14 @@ func runTraceBench(reps, mb int) []TracePoint {
 			} else if sum != pt.Checksum {
 				fatal(fmt.Errorf("trace %s: replay not deterministic (%s vs %s)", op.format, sum, pt.Checksum))
 			}
-			if mbps := residentMB / secs; mbps > pt.ReplayMBps {
-				pt.ReplayMBps = mbps
-			}
+			best = max(best, residentMiB/secs)
 		}
-
-		points = append(points, pt)
-		fmt.Fprintf(os.Stderr, "trace %-10s: %7.1f MiB file, open p50 %8.3fms p99 %8.3fms, replay %7.0f MiB/s\n",
-			op.format, pt.FileMB, pt.OpenP50Ms, pt.OpenP99Ms, pt.ReplayMBps)
-	}
-
-	for _, pt := range points[1:] {
-		if pt.Checksum != points[0].Checksum {
+		pt.Info = map[string]float64{"file_mib": float64(st.Size()) / (1 << 20), "replay_mib_per_s": best}
+		if len(points) > 0 && pt.Checksum != points[0].Checksum {
 			fatal(fmt.Errorf("trace: %s replays a different stream than %s (%s vs %s) — do not record this build",
-				pt.Format, points[0].Format, pt.Checksum, points[0].Checksum))
+				pt.Case, points[0].Case, pt.Checksum, points[0].Checksum))
 		}
+		points = append(points, pt)
 	}
 	return points
-}
-
-// checkTracePoints is the -check extension for the trace benchmark: points
-// are matched by format and fixture size. Checksums must agree exactly —
-// they certify all four paths replay one identical stream — and the
-// open-to-first-run p50 is tolerance-gated when it is large enough to
-// measure reliably (≥10ms; the mmap path opens in microseconds, where the
-// gate would only amplify timer noise). Throughput is informational.
-func checkTracePoints(base, cur []TracePoint, tolerance float64) bool {
-	type key struct {
-		format string
-		refs   uint64
-	}
-	byKey := map[key]TracePoint{}
-	for _, pt := range base {
-		byKey[key{pt.Format, pt.MemRefs}] = pt
-	}
-	ok := true
-	matched := 0
-	for _, pt := range cur {
-		ref, found := byKey[key{pt.Format, pt.MemRefs}]
-		if !found {
-			continue
-		}
-		matched++
-		if ref.Checksum != pt.Checksum {
-			fmt.Fprintf(os.Stderr, "bench: trace %s: replay checksum mismatch (%s vs baseline %s) — the replayed stream changed, record a new baseline before gating on time\n",
-				pt.Format, pt.Checksum, ref.Checksum)
-			ok = false
-			continue
-		}
-		if ref.OpenP50Ms >= 10 && pt.OpenP50Ms > ref.OpenP50Ms*(1+tolerance) {
-			fmt.Fprintf(os.Stderr, "bench: trace REGRESSION: %s open p50 %.1fms vs baseline %.1fms (%+.1f%%, tolerance %.0f%%)\n",
-				pt.Format, pt.OpenP50Ms, ref.OpenP50Ms,
-				100*(pt.OpenP50Ms/ref.OpenP50Ms-1), 100*tolerance)
-			ok = false
-		}
-	}
-	if ok && matched > 0 {
-		fmt.Printf("bench: trace ok: %d points, checksums identical\n", matched)
-	}
-	return ok
 }

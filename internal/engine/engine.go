@@ -493,12 +493,13 @@ func (m *Machine) pickCore() int {
 
 // step runs one dispatch batch on core c and returns instructions retired.
 //
-// The per-access work is dispatched to one of three specialized batch
-// loops so the hot path carries no per-instruction conditionals that are
-// invariant across the batch: the AccessHook nil check and the cost-factor
-// resolution happen once per batch, and the common case (no hook, synthetic
-// generator) calls the workload generator through a concrete pointer
-// instead of the RefSource interface.
+// The per-access work is dispatched to one of three batch loops so the hot
+// paths carry no per-instruction conditionals that are invariant across the
+// batch: the AccessHook nil check and the cost-factor resolution happen once
+// per batch, and the common case (no hook, synthetic generator) calls the
+// workload generator through a concrete pointer instead of the RefSource
+// interface. Only the per-instruction fallback, batchSrc, tests the hook
+// per access.
 func (m *Machine) step(c int) uint64 {
 	cs := &m.cores[c]
 	if cs.bgGen != nil && cs.time >= cs.nextBg {
@@ -517,7 +518,7 @@ func (m *Machine) step(c int) uint64 {
 	var cycles uint64
 	switch {
 	case m.cfg.AccessHook != nil:
-		cycles = m.batchHooked(cs, t, c, n, num, den)
+		cycles = m.batchSrc(cs, t, t.Gen, c, n, num, den)
 	default:
 		switch gen := t.Gen.(type) {
 		case *workload.Generator:
@@ -704,10 +705,12 @@ func (m *Machine) batchReplay(cs *coreState, t *kernel.Thread, gen workload.RunS
 	return cycles
 }
 
-// batchSrc is batchGen for non-synthetic instruction sources (trace replay,
-// custom RefSource implementations).
+// batchSrc is the per-instruction batch loop: batchGen for non-synthetic
+// instruction sources (custom RefSource implementations), and for every
+// source when an AccessHook is set, which then sees each resolved memory
+// access (footprint ground-truth collection).
 func (m *Machine) batchSrc(cs *coreState, t *kernel.Thread, gen workload.RefSource, c, n int, num, den uint64) uint64 {
-	hier := m.hier
+	hier, hook := m.hier, m.cfg.AccessHook
 	l1Cost, l2Cost := m.cfg.L1Cost, m.cfg.L2Cost
 	memCost, prefCost := m.cfg.MemCost, m.cfg.PrefetchCost
 	var cycles uint64
@@ -716,7 +719,8 @@ func (m *Machine) batchSrc(cs *coreState, t *kernel.Thread, gen workload.RefSour
 		cost := uint64(1)
 		if ref.Mem {
 			t.MemRefs++
-			switch hier.Access(c, ref.Addr) {
+			level := hier.Access(c, ref.Addr)
+			switch level {
 			case cache.L1:
 				cost += l1Cost
 			case cache.L2:
@@ -733,50 +737,9 @@ func (m *Machine) batchSrc(cs *coreState, t *kernel.Thread, gen workload.RefSour
 				}
 				cs.lastMissLine = line
 			}
-		}
-		cycles += cost
-		t.InstrRetired++
-		if t.InstrRetired >= t.InstrTarget {
-			if t.Runs == 0 {
-				t.CompletionUser = t.UserCycles + cycles*num/den
+			if hook != nil {
+				hook(c, ref.Addr>>6, level)
 			}
-			t.Runs++
-			t.InstrRetired = 0
-		}
-	}
-	return cycles
-}
-
-// batchHooked is the instrumented batch loop: every resolved memory access
-// is reported to the AccessHook (footprint ground-truth collection).
-func (m *Machine) batchHooked(cs *coreState, t *kernel.Thread, c, n int, num, den uint64) uint64 {
-	hier := m.hier
-	hook := m.cfg.AccessHook
-	var cycles uint64
-	for i := 0; i < n; i++ {
-		ref := t.Gen.Next()
-		cost := uint64(1)
-		if ref.Mem {
-			t.MemRefs++
-			level := hier.Access(c, ref.Addr)
-			switch level {
-			case cache.L1:
-				cost += m.cfg.L1Cost
-			case cache.L2:
-				t.L2Refs++
-				cost += m.cfg.L2Cost
-			default:
-				t.L2Refs++
-				t.L2Misses++
-				line := ref.Addr >> 6
-				if line == cs.lastMissLine+1 {
-					cost += m.cfg.PrefetchCost
-				} else {
-					cost += m.cfg.MemCost
-				}
-				cs.lastMissLine = line
-			}
-			hook(c, ref.Addr>>6, level)
 		}
 		cycles += cost
 		t.InstrRetired++

@@ -27,7 +27,9 @@ func TestEagerLazyCampaignParity(t *testing.T) {
 	run := func(eager bool) MixOutcome {
 		c := Quick()
 		c.Workers = 1
-		c.EagerCapture = eager
+		sig := c.EngineConfig().Signature
+		sig.EagerCapture = eager
+		c.Signature = &sig
 		return c.RunMix(mix, mustPolicy(), c.candidatesFor(mix), nil)
 	}
 	lazy := run(false)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -119,6 +120,45 @@ func PoolHashProfiles(pool []workload.Profile) string {
 		}
 	}
 	return hashHex(parts...)
+}
+
+// OutcomeDigest is an FNV-1a digest over every mix outcome: names, chosen
+// mapping and index, and each candidate's mapping, per-process user cycles
+// and wall cycles. Two sweeps agree on it only if every simulated outcome
+// they report is identical; execution parameters (worker count, sharding)
+// never enter it.
+func OutcomeDigest(outcomes []MixOutcome) string {
+	h := fnv.New64a()
+	var buf [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	ints := func(xs []int) {
+		word(uint64(len(xs)))
+		for _, x := range xs {
+			word(uint64(x))
+		}
+	}
+	for _, o := range outcomes {
+		word(uint64(len(o.Names)))
+		for _, n := range o.Names {
+			h.Write([]byte(n))
+			h.Write([]byte{0})
+		}
+		ints(o.Chosen)
+		word(uint64(o.ChosenIdx))
+		word(uint64(len(o.Candidates)))
+		for _, c := range o.Candidates {
+			ints(c.Mapping)
+			word(uint64(len(c.UserCycles)))
+			for _, u := range c.UserCycles {
+				word(u)
+			}
+			word(c.WallCycles)
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // CampaignHash returns the fingerprint of this configuration's
